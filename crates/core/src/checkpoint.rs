@@ -13,14 +13,25 @@
 //! ```text
 //! magic "MFPA" | version | n_shards | tick | degradation counters
 //! per shard: report | n_drives | per drive: full DriveState
-//! footer: FNV-1a-64 of everything above
+//! footer: 64-bit mfpa-bytes seal checksum of everything above
 //! ```
+//!
+//! The footer is the word-wise [`mfpa_bytes::seal`] checksum: four
+//! FNV-style lanes over 32-byte stripes, a length step and a fold,
+//! each step `((h ^ w) * P).rotate_left(R)` with an odd `P`. Each step
+//! is a bijection of the lane state for a fixed word and of the word
+//! for a fixed state, so any single changed word — any single flipped
+//! bit — changes the footer, and sealing runs at memory bandwidth.
+//! Version 1 files carried a byte-serial FNV-1a-64 footer; they fail
+//! the checksum and are refused like any other damaged file.
 //!
 //! Durability rules:
 //!
 //! * writes go to `ckpt-{tick:020}.mfpa.tmp` and are renamed into
-//!   place, so a crash mid-write never leaves a half checkpoint under
-//!   the canonical name;
+//!   place, so a process crash mid-write never leaves a half checkpoint
+//!   under the canonical name; neither the file nor the directory is
+//!   fsynced, so after a power loss the newest snapshot may be missing
+//!   or damaged (a damaged one is refused, see below);
 //! * the newest snapshot is the one with the largest tick in its file
 //!   name — selection never depends on directory iteration order;
 //! * [`restore`] validates magic, version, shard layout, structural
@@ -43,8 +54,9 @@ use crate::sanitize::{SanitizeConfig, SanitizeReport};
 
 /// `"MFPA"` in ASCII.
 const MAGIC: u32 = 0x4D46_5041;
-/// Bump on any layout change; old versions are refused, not migrated.
-const VERSION: u32 = 1;
+/// Bump on any layout or checksum change; old versions are refused,
+/// not migrated. Version 2: word-wise seal checksum.
+const VERSION: u32 = 2;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -152,9 +164,40 @@ fn put_drive_state(w: &mut ByteWriter, serial: SerialNumber, state: &DriveState)
     }
 }
 
+/// Bytes [`encode`] writes before the first shard.
+const HEADER_BYTES: usize = 4 + 4 + 5 * 8;
+/// Bytes of one shard's [`put_shard_report`] and drive count.
+const SHARD_BYTES: usize = 10 * 8 + 8;
+/// Bytes of one [`put_record`]: day, SMART, firmware, W and B counts.
+const RECORD_BYTES: usize = 8 + 16 * 8 + 5 + 9 * 4 + 23 * 4;
+/// Bytes of one [`put_drive_state`] besides its feature row and its
+/// pending records: serial, firmware, W and B totals, last day,
+/// sanitize config, last SMART, offsets, the two length prefixes, the
+/// sanitize report and the sequence / quarantine tail.
+const DRIVE_BYTES: usize =
+    9 + 5 + 5 * 8 + 23 * 8 + 9 + 16 + 1 + 16 * 8 + 16 * 8 + 8 + 10 * 8 + 8 + 33;
+/// Bytes of the [`mfpa_bytes::seal`] footer.
+const FOOTER_BYTES: usize = 8;
+
+/// Exact length of [`encode`]'s payload, footer excluded, so the
+/// writer is sized once instead of growing by doubling.
+fn encoded_len(monitor: &FleetMonitor) -> usize {
+    let drives: usize = monitor
+        .shards
+        .iter()
+        .flat_map(|shard| shard.monitors.values())
+        .map(|state| {
+            DRIVE_BYTES
+                + state.monitor.last_row.len() * 8
+                + state.pending.len() * (8 + RECORD_BYTES)
+        })
+        .sum();
+    HEADER_BYTES + monitor.shards.len() * SHARD_BYTES + drives
+}
+
 /// Serializes `monitor` to checksummed checkpoint bytes.
 pub(crate) fn encode(monitor: &FleetMonitor) -> Vec<u8> {
-    let mut w = ByteWriter::default();
+    let mut w = ByteWriter::with_capacity(encoded_len(monitor) + FOOTER_BYTES);
     w.u32(MAGIC);
     w.u32(VERSION);
     w.counter(monitor.cfg.n_shards);
@@ -621,6 +664,55 @@ mod tests {
                 assert!(detail.contains("shard layout"), "{detail}");
             }
             other => panic!("expected layout rejection, got {other:?}"),
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn encoded_len_is_exact() {
+        let dir = temp_dir("encoded-len");
+        let mut fm = populated_monitor(&dir);
+        // Later days push the clean drives' first records through the
+        // depth-2 reorder window, so their feature rows fill in.
+        for day in 2..5 {
+            let batch: Vec<ArrivalEvent> = (0..12).map(|id| event(id, day, false)).collect();
+            fm.ingest_batch(&batch, None).expect("later batch");
+        }
+        let states = || fm.shards.iter().flat_map(|s| s.monitors.values());
+        assert!(states().any(|s| !s.monitor.last_row.is_empty()));
+        assert!(states().any(|s| !s.pending.is_empty()));
+        let bytes = encode(&fm);
+        assert_eq!(bytes.len(), encoded_len(&fm) + FOOTER_BYTES);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn version_1_and_fnv_sealed_checkpoints_are_refused() {
+        let dir = temp_dir("old-format");
+        let fm = populated_monitor(&dir);
+        let path = write_checkpoint(&fm).expect("write");
+        let clean = std::fs::read(&path).expect("read");
+        let mut payload = unseal(&clean).expect("seal verifies").to_vec();
+        // The version 1 layout: the same fields, closed by a byte-serial
+        // FNV-1a-64 footer.
+        payload[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut fnv_sealed = payload.clone();
+        let footer = crate::bytes::fnv1a64(&fnv_sealed);
+        fnv_sealed.extend_from_slice(&footer.to_le_bytes());
+        std::fs::write(&path, &fnv_sealed).expect("rewrite");
+        match restore(fm.config().clone(), &path) {
+            Err(CoreError::CheckpointCorrupt { detail, .. }) => {
+                assert!(detail.contains("checksum"), "{detail}");
+            }
+            other => panic!("FNV-sealed checkpoint accepted: {other:?}"),
+        }
+        // A version 1 header under a valid seal fails the version check.
+        std::fs::write(&path, crate::bytes::seal(payload)).expect("rewrite");
+        match restore(fm.config().clone(), &path) {
+            Err(CoreError::CheckpointCorrupt { detail, .. }) => {
+                assert!(detail.contains("unsupported version 1"), "{detail}");
+            }
+            other => panic!("version 1 checkpoint accepted: {other:?}"),
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

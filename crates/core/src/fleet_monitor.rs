@@ -332,7 +332,10 @@ pub enum SweepOutcome {
 pub enum CheckpointOutcome {
     /// No checkpoint was scheduled this tick.
     NotDue,
-    /// A checkpoint was written and fsynced into place.
+    /// A checkpoint was written to a temporary file and renamed into
+    /// place. Neither the file nor the directory is fsynced, so the
+    /// snapshot survives a process crash but not necessarily a power
+    /// loss or kernel crash.
     Written {
         /// The tick the snapshot captures.
         tick: u64,

@@ -46,7 +46,7 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 /// Shared little-endian codec vocabulary (re-export of `mfpa-bytes`):
-/// [`bytes::ByteWriter`], [`bytes::ByteReader`] and the FNV-1a-64
+/// [`bytes::ByteWriter`], [`bytes::ByteReader`] and the word-wise
 /// checksum framing used by the checkpoint and `.mfpac` codecs.
 pub use mfpa_bytes as bytes;
 

@@ -12,7 +12,7 @@
 //! (and therefore reportable) in every other file.
 //!
 //! The on-disk format reuses the workspace codec vocabulary
-//! (`mfpa-bytes`) and its FNV-1a-64 seal; any damage — truncation, a
+//! (`mfpa-bytes`) and its checksum seal; any damage — truncation, a
 //! bit flip, a version bump, an unknown token tag — degrades to a cold
 //! scan for every file, never to an error and never to stale facts.
 //! The cache file is rewritten after any run that rescanned a file, so

@@ -98,6 +98,21 @@ fn corrupt_or_truncated_cache_degrades_to_cold() {
 }
 
 #[test]
+fn a_cache_sealed_with_the_byte_serial_fnv_footer_degrades_to_cold() {
+    let files = ws();
+    let path = tmp("fnv-footer");
+    let _ = lint_files_cached(&files, LintOptions::default(), &path);
+    let good = std::fs::read(&path).expect("cache written");
+    // The same payload under the footer of the older seal format.
+    let mut old = mfpa_bytes::unseal(&good).expect("seal verifies").to_vec();
+    let footer = mfpa_bytes::fnv1a64(&old);
+    old.extend_from_slice(&footer.to_le_bytes());
+    std::fs::write(&path, &old).expect("write old-format cache");
+    let (_, stats) = lint_files_cached(&files, LintOptions::default(), &path);
+    assert_eq!(stats.reused, 0, "an FNV-sealed cache must not be trusted");
+}
+
+#[test]
 fn missing_cache_path_is_a_cold_run_not_an_error() {
     let files = ws();
     let path = tmp("missing");

@@ -2,22 +2,11 @@
 // index is out of range. from_bytes should refuse it; does it panic?
 use mfpa_ml::CompiledEnsemble;
 
-const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_BASIS;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn main() {
     let leaf: u32 = u32::MAX;
     let mut out: Vec<u8> = Vec::new();
     out.extend(0x4350_464Du32.to_le_bytes()); // magic
-    out.extend(1u32.to_le_bytes()); // version
+    out.extend(2u32.to_le_bytes()); // version
     out.extend(1u64.to_le_bytes()); // n_features
     out.extend(1u64.to_le_bytes()); // n_trees
     out.extend(3u64.to_le_bytes()); // n_nodes
@@ -38,8 +27,7 @@ fn main() {
     for _ in 0..3 {
         out.extend(0f64.to_bits().to_le_bytes()); // value
     }
-    let footer = fnv1a64(&out);
-    out.extend(footer.to_le_bytes());
+    let out = mfpa_bytes::seal(out);
     match CompiledEnsemble::from_bytes(&out) {
         Ok(_) => println!("ACCEPTED (bad: invalid structure admitted)"),
         Err(e) => println!("refused: {e}"),

@@ -27,7 +27,7 @@
 //!   the scores are bit-identical to the batch path at any change rate.
 //!
 //! The compiled form serializes to a hand-rolled little-endian
-//! `.mfpac` artifact with an FNV-1a-64 footer and a truncation-safe
+//! `.mfpac` artifact with a checksum footer and a truncation-safe
 //! decoder (same codec discipline as `core::checkpoint`), so a monitor
 //! process can load a model without refitting.
 
@@ -1103,8 +1103,9 @@ fn heap_pop_max(h: &mut Vec<Watch>) -> Watch {
 
 /// `.mfpac` magic: "MFPC" as a little-endian u32.
 const MFPAC_MAGIC: u32 = 0x4350_464D;
-/// Artifact format version.
-const MFPAC_VERSION: u32 = 1;
+/// Artifact format version. Version 2: word-wise seal checksum in
+/// place of the byte-serial FNV-1a-64 footer.
+const MFPAC_VERSION: u32 = 2;
 
 /// [`mfpa_bytes::ByteReader`] adapter mapping truncation errors into
 /// structured [`MlError::CorruptArtifact`] values — every overrun is
@@ -1135,9 +1136,10 @@ fn corrupt(msg: impl Into<String>) -> MlError {
 
 impl CompiledEnsemble {
     /// Serializes to the little-endian `.mfpac` format: header, node
-    /// arrays, FNV-1a-64 footer over everything before it. Quantization
-    /// lanes are not stored — they derive deterministically from the
-    /// node thresholds and are rebuilt on load.
+    /// arrays, [`mfpa_bytes::seal`] checksum footer over everything
+    /// before it. Quantization lanes are not stored — they derive
+    /// deterministically from the node thresholds and are rebuilt on
+    /// load.
     pub fn to_bytes(&self) -> Vec<u8> {
         let n_nodes = self.feat.len();
         let mut w = ByteWriter::with_capacity(64 + n_nodes * 25 + self.tree_roots.len() * 8);
@@ -1385,6 +1387,34 @@ mod tests {
         assert_eq!(CompiledEnsemble::code(&edges, f64::NAN), 3);
         let full: Vec<f64> = (0..MAX_EDGES).map(|i| i as f64).collect();
         assert_eq!(CompiledEnsemble::code(&full, f64::NAN), u8::MAX);
+    }
+
+    /// Artifacts of the version 1 format — a byte-serial FNV-1a-64
+    /// footer — are refused with a structured error, as is a version 1
+    /// header under a valid seal.
+    #[test]
+    fn version_1_and_fnv_sealed_artifacts_are_refused() {
+        let rows: Vec<Vec<f64>> = (0..16).map(|i| vec![f64::from(i % 4)]).collect();
+        let x = Matrix::from_rows(&rows).unwrap();
+        let y: Vec<bool> = (0..16).map(|i| i % 4 == 0).collect();
+        let mut gb = crate::Gbdt::new(3, 0.3, 2).with_seed(1);
+        gb.fit(&x, &y).unwrap();
+        let artifact = gb.compile().unwrap().to_bytes();
+        let mut body = unseal(&artifact).unwrap().to_vec();
+        body[4..8].copy_from_slice(&1u32.to_le_bytes());
+        let mut fnv_sealed = body.clone();
+        let footer = mfpa_bytes::fnv1a64(&fnv_sealed);
+        fnv_sealed.extend_from_slice(&footer.to_le_bytes());
+        match CompiledEnsemble::from_bytes(&fnv_sealed) {
+            Err(MlError::CorruptArtifact(msg)) => assert!(msg.contains("checksum"), "{msg}"),
+            other => panic!("FNV-sealed artifact: {:?}", other.map(|_| "Ok")),
+        }
+        match CompiledEnsemble::from_bytes(&mfpa_bytes::seal(body)) {
+            Err(MlError::CorruptArtifact(msg)) => {
+                assert!(msg.contains("unsupported version 1"), "{msg}");
+            }
+            other => panic!("version 1 artifact: {:?}", other.map(|_| "Ok")),
+        }
     }
 
     /// The flattened layout invariants the kernels index by: children

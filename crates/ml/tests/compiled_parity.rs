@@ -220,9 +220,11 @@ proptest! {
             other => prop_assert!(false, "truncation to {} bytes: {:?}", keep, other.map(|_| "Ok")),
         }
 
-        // Any single bit flip must be refused: FNV-1a-64's per-byte
-        // steps are bijective, so a one-byte change always changes the
-        // digest, and a flip in the footer no longer matches the body.
+        // Any single bit flip must be refused: every step of the seal
+        // checksum is a bijection of its lane state for a fixed word
+        // and of the word for a fixed state, so a one-word change
+        // always changes the footer, and a flip in the footer no longer
+        // matches the body.
         let mut flipped = artifact.clone();
         let pos = (flip_pos * flipped.len() as f64) as usize;
         let pos = pos.min(flipped.len() - 1);
